@@ -120,5 +120,17 @@ func rebuildDeployment(dto *deploymentDTO) (*Deployment, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown model kind %d", dep.Kind)
 	}
+	// Shape-check the decoded models here: a short slice would otherwise
+	// surface as an index panic inside Open.
+	if dep.ELM != nil {
+		if err := dep.ELM.Validate(); err != nil {
+			return nil, fmt.Errorf("core: deployment model: %w", err)
+		}
+	}
+	if dep.LSTM != nil {
+		if err := dep.LSTM.Validate(); err != nil {
+			return nil, fmt.Errorf("core: deployment model: %w", err)
+		}
+	}
 	return dep, nil
 }

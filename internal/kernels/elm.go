@@ -206,6 +206,9 @@ func BuildELMImage(m *ml.ELM) ([]uint32, error) {
 		return nil, fmt.Errorf("kernels: ELM shape %+v does not match the deployed kernel (%d/%d/%d)",
 			cfg, ELMWindow, ELMVocab, ELMHidden)
 	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	img := make([]uint32, ELMImgEnd)
 	copy(img[ELMSigLUT:], ml.SigmoidLUT())
 	for r := 0; r < ELMHidden; r++ {

@@ -245,6 +245,9 @@ func BuildLSTMImage(m *ml.LSTM) ([]uint32, error) {
 	if cfg.Window != LSTMWindow || cfg.Vocab != LSTMVocab || cfg.Embed != LSTMEmbed || cfg.Hidden != LSTMHidden {
 		return nil, fmt.Errorf("kernels: LSTM shape %+v does not match the deployed kernel", cfg)
 	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	img := make([]uint32, LSTMImgEnd)
 	copy(img[LSTMSigLUT:], ml.SigmoidLUT())
 	copy(img[LSTMTanhLUT:], ml.TanhLUT())

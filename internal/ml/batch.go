@@ -2,258 +2,206 @@ package ml
 
 import "rtad/internal/gpu"
 
-// Batched fixed-point inference: the matrix-matrix companions to MarginQ
-// and StepQ. A batch is n independent input rows — in serving terms, one
-// pending vector from each of n sessions deployed from the same trained
-// model. The hot loops run register-blocked over the natural row-major
-// activation layout: four rows advance together with their accumulators
-// held in registers, so each weight word loaded feeds four multiply-adds
-// and the accumulators never touch memory — where the single-vector
-// kernels pay a full weight walk per row for their one register
-// accumulator. That per-block amortisation of the weight stream, plus the
-// per-call bookkeeping paid once per batch, is what the serving scheduler
-// banks on.
+// The Q16.16 row kernels. Each model has exactly one: MarginQ for the ELM,
+// StepQ for the LSTM. The batched entry points (MarginBatchQ, StepBatchQ)
+// run each window through it, so there is one fast path per model and
+// batch size 1 — the common case in serving, where a fused pass averages
+// under two rows — is as fast as any other.
 //
-// Bit-identity contract: for every row b, the arithmetic performed on that
-// row — operation order, operand order, Q16.16 rounding — is exactly the
-// sequence MarginQ/StepQ would perform on the same inputs. Integer adds
-// commute across rows but never within one, and the loops only reorder
-// work across rows. A batched pass over n rows therefore equals n
-// independent single-row passes bit-for-bit, which is what lets the
-// serving layer batch across sessions without perturbing any session's
-// judgment stream.
+// The kernels block over output rows, not over batch rows. Every matrix
+// stage is a mat-vec against one shared activation vector:
+//
+//   - LSTM gates: Wg is contiguous across the NumGates banks, so the gates
+//     are one (NumGates*Hidden) × (Embed+Hidden) mat-vec over xh. Each pass
+//     over xh computes four output rows with their accumulators held in
+//     registers, so each activation word loaded feeds four multiply-adds.
+//     The LUT activations run after all pre-activations are done.
+//   - Readouts (LSTM OutW, ELM Beta): the weights are stored row-major
+//     [Hidden][Vocab], so the kernels walk them that way — two hidden rows
+//     per pass, accumulating into the logits vector — instead of gathering
+//     a column per logit with stride Vocab.
+//   - ELM hidden layer: the positional one-hot input selects Window-1 W1
+//     columns, each Hidden contiguous words, accumulated column by column.
+//
+// Every weight row is resliced to the length of the vector it is walked
+// against, which lets the compiler drop the bounds checks in the inner
+// loops. The weights stay views over the model image; nothing is copied
+// or repacked (uint32→int32 is free).
+//
+// The kernels deliberately do not block over batch rows (several windows
+// sharing each streamed weight word). That pays only for full batches:
+// serving fuses 1.35 rows per pass on average, so such a kernel runs
+// nearly every window through its single-row tail, and at 32 rows the row
+// kernel already matches a four-row blocked pass per row
+// (BenchmarkStepBatchQ32). A batch is the row kernel in a loop.
+//
+// Bit-identity contract: every product keeps MulQ's exact rounding,
+// int32(int64(a)*int64(b)>>16). Only the order of the int32 wrapping adds
+// differs from the straightforward loops, and those adds are associative
+// and commutative mod 2^32, so every margin and every h/c word equals the
+// naive scalar walk bit-for-bit — and so equals the GPU kernels'.
 
-// growQ returns scratch with at least need elements, reusing the backing
-// array when it is already big enough.
-func growQ(s []int32, need int) []int32 {
-	if cap(s) < need {
-		return make([]int32, need)
+// MarginQ runs one ELM forward pass over the quantised input words (Window
+// class IDs, the last being the branch actually observed) and returns the
+// margin score: max logit minus the observed class's logit.
+func (p *ELMParamsQ) MarginQ(win []uint32) int32 {
+	H, V := p.Hidden, p.Vocab
+	if len(p.hid) != H || len(p.logits) != V {
+		p.hid = make([]int32, H)
+		p.logits = make([]int32, V)
 	}
-	return s[:need]
+	hid, logits := p.hid, p.logits
+	for row, b := range p.B1[:len(hid)] {
+		hid[row] = int32(b)
+	}
+	for j := 0; j < p.Window-1; j++ {
+		col := j*V + int(win[j])
+		wcol := p.W1[col*H : (col+1)*H][:len(hid)]
+		for row := range hid {
+			hid[row] += int32(wcol[row])
+		}
+	}
+	lut := p.SigLUT[:LUTSize]
+	for row, a := range hid {
+		hid[row] = SigmoidQ(lut, a)
+	}
+	for v := range logits {
+		logits[v] = 0
+	}
+	readout(logits, hid, p.Beta)
+	return MarginOfQ(logits, int(win[p.Window-1]))
+}
+
+// StepQ advances the recurrent state by one timestep: h and c (Hidden
+// values each, Q16.16) are read and updated in place, and the returned
+// value is the margin score for the window's final class.
+func (p *LSTMParamsQ) StepQ(h, c []int32, in []uint32) int32 {
+	E, H, V := p.Embed, p.Hidden, p.Vocab
+	xw := E + H
+	GH := NumGates * H
+	if len(p.xh) != xw || len(p.gates) != GH || len(p.logits) != V {
+		p.xh = make([]int32, xw)
+		p.gates = make([]int32, GH)
+		p.logits = make([]int32, V)
+	}
+	xh, gates, logits := p.xh, p.gates, p.logits
+
+	// Window embedding, concatenated with the previous hidden state.
+	x := xh[:E]
+	for i := range x {
+		x[i] = 0
+	}
+	for j := 0; j < p.Window-1; j++ {
+		cls := int(in[j])
+		pw := int32(p.PosW[j])
+		emb := p.Emb[cls*E : (cls+1)*E][:len(x)]
+		for e := range x {
+			x[e] += gpu.MulQ(int32(emb[e]), pw)
+		}
+	}
+	h, c = h[:H], c[:H]
+	copy(xh[E:], h)
+
+	// Gate pre-activations: one mat-vec over all banks, four rows a pass.
+	// GH is NumGates*Hidden with NumGates == 4, so the blocks cover it.
+	wg := p.Wg[:GH*xw]
+	bg := p.Bg[:GH]
+	for r := 0; r < GH; r += 4 {
+		w0 := wg[r*xw : (r+1)*xw]
+		w1 := wg[(r+1)*xw : (r+2)*xw]
+		w2 := wg[(r+2)*xw : (r+3)*xw]
+		w3 := wg[(r+3)*xw : (r+4)*xw]
+		gates[r], gates[r+1], gates[r+2], gates[r+3] = dot4(
+			int32(bg[r]), int32(bg[r+1]), int32(bg[r+2]), int32(bg[r+3]), w0, w1, w2, w3, xh)
+	}
+
+	// Activations: sigmoid on the I, F and O banks, tanh on G.
+	sig, tanh := p.SigLUT[:LUTSize], p.TanhLUT[:LUTSize]
+	for i, a := range gates[:GH] {
+		if i >= GateG*H && i < GateO*H {
+			gates[i] = TanhQ(tanh, a)
+		} else {
+			gates[i] = SigmoidQ(sig, a)
+		}
+	}
+
+	// State update.
+	gi := gates[GateI*H : (GateI+1)*H][:len(h)]
+	gf := gates[GateF*H : (GateF+1)*H][:len(h)]
+	gg := gates[GateG*H : (GateG+1)*H][:len(h)]
+	gO := gates[GateO*H : (GateO+1)*H][:len(h)]
+	for k := range h {
+		cv := gpu.MulQ(gf[k], c[k]) + gpu.MulQ(gi[k], gg[k])
+		c[k] = cv
+		h[k] = gpu.MulQ(gO[k], TanhQ(tanh, cv))
+	}
+
+	for v, b := range p.OutB[:len(logits)] {
+		logits[v] = int32(b)
+	}
+	readout(logits, h, p.OutW)
+	return MarginOfQ(logits, int(in[p.Window-1]))
+}
+
+// dot4 adds the dot products of four weight rows with x to the four
+// accumulators. It is its own function so the register allocator sees only
+// the loop's own values: inlined into StepQ, the accumulators and row
+// pointers spill to the stack on every iteration.
+func dot4(a0, a1, a2, a3 int32, w0, w1, w2, w3 []uint32, x []int32) (int32, int32, int32, int32) {
+	w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+	for k, xv := range x {
+		a0 += gpu.MulQ(int32(w0[k]), xv)
+		a1 += gpu.MulQ(int32(w1[k]), xv)
+		a2 += gpu.MulQ(int32(w2[k]), xv)
+		a3 += gpu.MulQ(int32(w3[k]), xv)
+	}
+	return a0, a1, a2, a3
+}
+
+// readout adds the readout layer to logits: logits[v] += act[k]*w[k][v]
+// over k, for weights w stored row-major [len(act)][len(logits)], two
+// rows a pass.
+func readout(logits, act []int32, w []uint32) {
+	V := len(logits)
+	w = w[:len(act)*V]
+	k := 0
+	for ; k+2 <= len(act); k += 2 {
+		a0, a1 := act[k], act[k+1]
+		w0 := w[k*V : (k+1)*V][:len(logits)]
+		w1 := w[(k+1)*V : (k+2)*V][:len(logits)]
+		for v := range logits {
+			logits[v] += gpu.MulQ(a0, int32(w0[v])) + gpu.MulQ(a1, int32(w1[v]))
+		}
+	}
+	if k < len(act) {
+		a0 := act[k]
+		w0 := w[k*V : (k+1)*V][:len(logits)]
+		for v := range logits {
+			logits[v] += gpu.MulQ(a0, int32(w0[v]))
+		}
+	}
 }
 
 // MarginBatchQ runs the ELM forward pass over n windows packed row-major
 // in `in` (n*Window words) and writes the n margin scores to margins.
-// Row b reproduces MarginQ(in[b*Window:(b+1)*Window]) bit-for-bit.
+// Row b equals MarginQ(in[b*Window:(b+1)*Window]) bit-for-bit.
 func (p *ELMParamsQ) MarginBatchQ(in []uint32, n int, margins []int32) {
-	if n == 0 {
-		return
-	}
 	w := p.Window
-	// The ELM weight blocks are small enough that the whole batch runs out
-	// of L1 once the first row has streamed them, so unlike the LSTM the
-	// win here is access order, not weight residency. The hidden pass walks
-	// W1 column-major — each selected input column is Hidden contiguous
-	// words, where MarginQ's row-major walk gathers with stride Hidden —
-	// and the readout streams Beta row-major exactly as MarginQ does.
-	// Per-row accumulation order (j ascending, then row ascending) is
-	// unchanged, so the margins stay bit-identical.
-	p.bsig = growQ(p.bsig, p.Hidden)
-	p.bvec = growQ(p.bvec, p.Vocab)
-	accs, logits := p.bsig[:p.Hidden], p.bvec[:p.Vocab]
 	for b := 0; b < n; b++ {
-		win := in[b*w : (b+1)*w]
-		for row, bb := range p.B1[:p.Hidden] {
-			accs[row] = int32(bb)
-		}
-		for j := 0; j < w-1; j++ {
-			col := j*p.Vocab + int(win[j])
-			wcol := p.W1[col*p.Hidden : (col+1)*p.Hidden]
-			for row, wv := range wcol {
-				accs[row] += int32(wv)
-			}
-		}
-		for v := range logits {
-			logits[v] = 0
-		}
-		for row, a := range accs {
-			sig := SigmoidQ(p.SigLUT, a)
-			beta := p.Beta[row*p.Vocab : (row+1)*p.Vocab]
-			for v, bb := range beta {
-				logits[v] += gpu.MulQ(sig, int32(bb))
-			}
-		}
-		margins[b] = MarginOfQ(logits, int(win[w-1]))
+		margins[b] = p.MarginQ(in[b*w : (b+1)*w])
 	}
 }
-
-// stepBatchTile bounds the rows one blocked pass works on. The tile's
-// scratch (gates dominate: NumGates*Hidden*tile words) has to stay
-// cache-resident together with the weight row being streamed — at 32 rows
-// the deployed LSTM's scratch is ~34KB, and growing the tile further makes
-// the batched pass slower per row than the single-vector kernel it
-// replaces.
-const stepBatchTile = 32
 
 // StepBatchQ advances n independent recurrent streams by one timestep. h
 // and c carry each row's persistent state packed row-major (n*Hidden
 // values each), updated in place; `in` packs the n windows (n*Window
-// words); margins receives the n margin scores. Row b reproduces
+// words); margins receives the n margin scores. Row b equals
 // StepQ(h[b], c[b], in[b]) bit-for-bit. Rows must belong to distinct
 // streams — consecutive timesteps of one stream are sequentially dependent
 // through h/c and cannot share a batch.
-//
-// Batches wider than stepBatchTile run as consecutive tiles; rows never
-// interact, so tiling changes nothing but scratch residency.
 func (p *LSTMParamsQ) StepBatchQ(h, c []int32, in []uint32, n int, margins []int32) {
-	for base := 0; base < n; base += stepBatchTile {
-		t := n - base
-		if t > stepBatchTile {
-			t = stepBatchTile
-		}
-		p.stepBatchTile(h[base*p.Hidden:], c[base*p.Hidden:], in[base*p.Window:], t, margins[base:])
-	}
-}
-
-func (p *LSTMParamsQ) stepBatchTile(h, c []int32, in []uint32, n int, margins []int32) {
-	if n == 0 {
-		return
-	}
-	xw := p.Embed + p.Hidden
-	H := p.Hidden
-	GH := NumGates * H
-	// All batch scratch stays row-major (batch-outer): the kernel is
-	// ALU-bound at deployed dims, so the win comes from sharing each
-	// streamed weight word across four register accumulators — a
-	// transposed activation layout would add scatter/gather traffic
-	// without feeding the multipliers any faster.
-	p.bxh = growQ(p.bxh, n*xw)
-	p.bgates = growQ(p.bgates, n*GH)
-	p.blogits = growQ(p.blogits, n*p.Vocab)
-	bxh, bgates, blogits := p.bxh, p.bgates, p.blogits
-
-	// Window embedding per row (an Emb gather, inherently row-local),
-	// concatenated with the row's previous hidden state — exactly StepQ's
-	// xh vector, one per row.
+	H, w := p.Hidden, p.Window
 	for b := 0; b < n; b++ {
-		xh := bxh[b*xw : (b+1)*xw]
-		for i := range xh {
-			xh[i] = 0
-		}
-		win := in[b*p.Window : (b+1)*p.Window]
-		for j := 0; j < p.Window-1; j++ {
-			cls := int(win[j])
-			pw := int32(p.PosW[j])
-			emb := p.Emb[cls*p.Embed : (cls+1)*p.Embed]
-			for e, w := range emb {
-				xh[e] += gpu.MulQ(int32(w), pw)
-			}
-		}
-		copy(xh[p.Embed:], h[b*H:(b+1)*H])
-	}
-
-	// Gates: register-blocked accumulation. Four rows advance together with
-	// their accumulators held in registers, so each weight word costs one
-	// load feeding four multiply-adds; the activations stream as four
-	// stride-1 rows. Per-row accumulation order stays k-ascending,
-	// preserving bit-identity with StepQ.
-	for g := 0; g < NumGates; g++ {
-		for r := 0; r < H; r++ {
-			gi := g*H + r
-			bg := int32(p.Bg[gi])
-			wrow := p.Wg[gi*xw : (gi+1)*xw]
-			lut := p.SigLUT
-			if g == GateG {
-				lut = p.TanhLUT
-			}
-			b0 := 0
-			for ; b0+4 <= n; b0 += 4 {
-				a0, a1, a2, a3 := bg, bg, bg, bg
-				x0 := bxh[b0*xw : (b0+1)*xw]
-				x1 := bxh[(b0+1)*xw : (b0+2)*xw]
-				x2 := bxh[(b0+2)*xw : (b0+3)*xw]
-				x3 := bxh[(b0+3)*xw : (b0+4)*xw]
-				for k, wk := range wrow {
-					wv := int32(wk)
-					a0 += gpu.MulQ(wv, x0[k])
-					a1 += gpu.MulQ(wv, x1[k])
-					a2 += gpu.MulQ(wv, x2[k])
-					a3 += gpu.MulQ(wv, x3[k])
-				}
-				if g == GateG {
-					bgates[b0*GH+gi] = TanhQ(lut, a0)
-					bgates[(b0+1)*GH+gi] = TanhQ(lut, a1)
-					bgates[(b0+2)*GH+gi] = TanhQ(lut, a2)
-					bgates[(b0+3)*GH+gi] = TanhQ(lut, a3)
-				} else {
-					bgates[b0*GH+gi] = SigmoidQ(lut, a0)
-					bgates[(b0+1)*GH+gi] = SigmoidQ(lut, a1)
-					bgates[(b0+2)*GH+gi] = SigmoidQ(lut, a2)
-					bgates[(b0+3)*GH+gi] = SigmoidQ(lut, a3)
-				}
-			}
-			for ; b0 < n; b0++ {
-				a := bg
-				xr := bxh[b0*xw : (b0+1)*xw]
-				for k, wk := range wrow {
-					a += gpu.MulQ(int32(wk), xr[k])
-				}
-				if g == GateG {
-					bgates[b0*GH+gi] = TanhQ(lut, a)
-				} else {
-					bgates[b0*GH+gi] = SigmoidQ(lut, a)
-				}
-			}
-		}
-	}
-
-	// State update per row, mirroring StepQ's order; each row's gate bank
-	// is contiguous, and h updates in place for the readout to stream.
-	for b := 0; b < n; b++ {
-		gates := bgates[b*GH : (b+1)*GH]
-		hb := h[b*H : (b+1)*H]
-		cb := c[b*H : (b+1)*H]
-		for r := 0; r < H; r++ {
-			cv := gpu.MulQ(gates[GateF*H+r], cb[r]) +
-				gpu.MulQ(gates[GateI*H+r], gates[GateG*H+r])
-			cb[r] = cv
-			hb[r] = gpu.MulQ(gates[GateO*H+r], TanhQ(p.TanhLUT, cv))
-		}
-	}
-
-	// Readout: the same four-row register blocking, walking an OutW column
-	// per logit. The whole OutW block is L1-resident at deployed dims, so
-	// the strided column walk costs cache loads only while the four logit
-	// accumulators stay in registers; each row's logits land contiguous,
-	// ready for the margin reduction with no gather.
-	vocab := p.Vocab
-	b0 := 0
-	for ; b0+4 <= n; b0 += 4 {
-		h0 := h[b0*H : (b0+1)*H]
-		h1 := h[(b0+1)*H : (b0+2)*H]
-		h2 := h[(b0+2)*H : (b0+3)*H]
-		h3 := h[(b0+3)*H : (b0+4)*H]
-		for v := 0; v < vocab; v++ {
-			ob := int32(p.OutB[v])
-			a0, a1, a2, a3 := ob, ob, ob, ob
-			w := v
-			for k := 0; k < H; k++ {
-				ov := int32(p.OutW[w])
-				a0 += gpu.MulQ(ov, h0[k])
-				a1 += gpu.MulQ(ov, h1[k])
-				a2 += gpu.MulQ(ov, h2[k])
-				a3 += gpu.MulQ(ov, h3[k])
-				w += vocab
-			}
-			blogits[b0*vocab+v] = a0
-			blogits[(b0+1)*vocab+v] = a1
-			blogits[(b0+2)*vocab+v] = a2
-			blogits[(b0+3)*vocab+v] = a3
-		}
-	}
-	for ; b0 < n; b0++ {
-		hr := h[b0*H : (b0+1)*H]
-		for v := 0; v < vocab; v++ {
-			a := int32(p.OutB[v])
-			w := v
-			for k := 0; k < H; k++ {
-				a += gpu.MulQ(int32(p.OutW[w]), hr[k])
-				w += vocab
-			}
-			blogits[b0*vocab+v] = a
-		}
-	}
-	for b := 0; b < n; b++ {
-		margins[b] = MarginOfQ(blogits[b*vocab:(b+1)*vocab], int(in[(b+1)*p.Window-1]))
+		margins[b] = p.StepQ(h[b*H:(b+1)*H], c[b*H:(b+1)*H], in[b*w:(b+1)*w])
 	}
 }

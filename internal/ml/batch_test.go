@@ -178,3 +178,53 @@ func BenchmarkStepBatchQ32(b *testing.B) {
 		p.StepBatchQ(h, c, in, benchBatch, margins)
 	}
 }
+
+// The serving case: a fused pass averages 1.35 rows, so the kernels are
+// benched at one and two rows too. Each bench first asserts the kernel
+// allocates nothing once its scratch is sized.
+
+func requireNoAllocs(b *testing.B, f func()) {
+	b.Helper()
+	if a := testing.AllocsPerRun(10, f); a != 0 {
+		b.Fatalf("%v allocs per call, want 0", a)
+	}
+}
+
+func BenchmarkMarginQ1(b *testing.B) {
+	p := benchParamsELM()
+	in := randWindows(rand.New(rand.NewSource(3)), p.Window, p.Vocab, 1)
+	f := func() { p.MarginQ(in) }
+	requireNoAllocs(b, f)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f()
+	}
+}
+
+func BenchmarkStepQ1(b *testing.B) {
+	p := benchParamsLSTM()
+	in := randWindows(rand.New(rand.NewSource(4)), p.Window, p.Vocab, 1)
+	h := make([]int32, p.Hidden)
+	c := make([]int32, p.Hidden)
+	f := func() { p.StepQ(h, c, in) }
+	requireNoAllocs(b, f)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f()
+	}
+}
+
+func BenchmarkStepBatchQ2(b *testing.B) {
+	const n = 2
+	p := benchParamsLSTM()
+	in := randWindows(rand.New(rand.NewSource(4)), p.Window, p.Vocab, n)
+	h := make([]int32, n*p.Hidden)
+	c := make([]int32, n*p.Hidden)
+	margins := make([]int32, n)
+	f := func() { p.StepBatchQ(h, c, in, n, margins) }
+	requireNoAllocs(b, f)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f()
+	}
+}

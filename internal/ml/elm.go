@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,6 +36,26 @@ type ELM struct {
 	// Threshold is the anomaly decision level on the margin score,
 	// calibrated on normal traces (see CalibrateThreshold).
 	Threshold float64
+}
+
+func (c ELMConfig) check() error {
+	if c.Window < 2 || c.Vocab < 2 || c.Hidden < 1 {
+		return fmt.Errorf("ml: bad ELM config %+v", c)
+	}
+	return nil
+}
+
+// Validate checks every parameter against the shape m.Cfg declares, so a
+// decoded model is rejected before any kernel indexes past a short slice.
+func (m *ELM) Validate() error {
+	c := m.Cfg
+	if err := c.check(); err != nil {
+		return err
+	}
+	return errors.Join(
+		checkMat("ELM W1", m.W1, c.Hidden, (c.Window-1)*c.Vocab),
+		checkVec("ELM B1", m.B1, c.Hidden),
+		checkMat("ELM BetaT", m.BetaT, c.Vocab, c.Hidden))
 }
 
 // validateWindow checks a window against the model shape.
@@ -97,8 +118,8 @@ func (m *ELM) Score(w []int32) float64 {
 // closed-form training that makes ELMs "more lightweight than a
 // traditional MLP" (§IV-C).
 func TrainELM(cfg ELMConfig, windows [][]int32) (*ELM, error) {
-	if cfg.Window < 2 || cfg.Vocab < 2 || cfg.Hidden < 1 {
-		return nil, fmt.Errorf("ml: bad ELM config %+v", cfg)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	if len(windows) < cfg.Hidden {
 		return nil, fmt.Errorf("ml: %d training windows for %d hidden units — underdetermined", len(windows), cfg.Hidden)

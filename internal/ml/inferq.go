@@ -25,41 +25,9 @@ type ELMParamsQ struct {
 	W1     []uint32 // [(Window-1)*Vocab][Hidden] input weights, row-major by column
 	Beta   []uint32 // [Hidden][Vocab] readout weights
 
+	// Row-kernel scratch: hidden activations [Hidden], logits [Vocab].
+	hid    []int32
 	logits []int32
-
-	// Batched-pass scratch (MarginBatchQ): hidden accumulators [Hidden]
-	// and a logits vector [Vocab].
-	bsig []int32
-	bvec []int32
-}
-
-// MarginQ runs one forward pass over the quantised input words (Window
-// class IDs, the last being the branch actually observed) and returns the
-// margin score: max logit minus the observed class's logit. The
-// accumulation order matches the kernels exactly — integer adds are
-// associative, so the per-wave partial sums on the GPU equal this
-// sequential walk bit-for-bit.
-func (p *ELMParamsQ) MarginQ(in []uint32) int32 {
-	if len(p.logits) != p.Vocab {
-		p.logits = make([]int32, p.Vocab)
-	}
-	logits := p.logits
-	for v := range logits {
-		logits[v] = 0
-	}
-	for row := 0; row < p.Hidden; row++ {
-		acc := int32(p.B1[row])
-		for j := 0; j < p.Window-1; j++ {
-			col := j*p.Vocab + int(in[j])
-			acc += int32(p.W1[col*p.Hidden+row])
-		}
-		sig := SigmoidQ(p.SigLUT, acc)
-		beta := p.Beta[row*p.Vocab : (row+1)*p.Vocab]
-		for v, b := range beta {
-			logits[v] += gpu.MulQ(sig, int32(b))
-		}
-	}
-	return MarginOfQ(logits, int(in[p.Window-1]))
 }
 
 // LSTMParamsQ views a quantised LSTM image: recency-weighted window
@@ -79,76 +47,11 @@ type LSTMParamsQ struct {
 	OutW    []uint32 // [Hidden][Vocab]
 	OutB    []uint32 // [Vocab]
 
+	// Row-kernel scratch: xh [Embed+Hidden], gates [NumGates*Hidden],
+	// logits [Vocab].
 	xh     []int32
 	gates  []int32
 	logits []int32
-
-	// Batched-pass scratch (StepBatchQ), row-major with the batch outer:
-	// xh [n][Embed+Hidden], gates [n][NumGates*Hidden], logits [n][Vocab].
-	bxh     []int32
-	bgates  []int32
-	blogits []int32
-}
-
-// StepQ advances the recurrent state by one timestep: h and c (Hidden
-// values each, Q16.16) are read and updated in place, and the returned
-// value is the margin score for the window's final class.
-func (p *LSTMParamsQ) StepQ(h, c []int32, in []uint32) int32 {
-	xw := p.Embed + p.Hidden
-	if len(p.xh) != xw {
-		p.xh = make([]int32, xw)
-		p.gates = make([]int32, NumGates*p.Hidden)
-		p.logits = make([]int32, p.Vocab)
-	}
-	// Window embedding.
-	xh := p.xh
-	for i := range xh {
-		xh[i] = 0
-	}
-	for j := 0; j < p.Window-1; j++ {
-		cls := int(in[j])
-		pw := int32(p.PosW[j])
-		emb := p.Emb[cls*p.Embed : (cls+1)*p.Embed]
-		for e, w := range emb {
-			xh[e] += gpu.MulQ(int32(w), pw)
-		}
-	}
-	copy(xh[p.Embed:], h)
-	// Gates.
-	gates := p.gates
-	for g := 0; g < NumGates; g++ {
-		for r := 0; r < p.Hidden; r++ {
-			acc := int32(p.Bg[g*p.Hidden+r])
-			w := p.Wg[(g*p.Hidden+r)*xw : (g*p.Hidden+r+1)*xw]
-			for k, wk := range w {
-				acc += gpu.MulQ(int32(wk), xh[k])
-			}
-			if g == GateG {
-				gates[g*p.Hidden+r] = TanhQ(p.TanhLUT, acc)
-			} else {
-				gates[g*p.Hidden+r] = SigmoidQ(p.SigLUT, acc)
-			}
-		}
-	}
-	// State update.
-	for r := 0; r < p.Hidden; r++ {
-		cv := gpu.MulQ(gates[GateF*p.Hidden+r], c[r]) + gpu.MulQ(gates[GateI*p.Hidden+r], gates[GateG*p.Hidden+r])
-		c[r] = cv
-		h[r] = gpu.MulQ(gates[GateO*p.Hidden+r], TanhQ(p.TanhLUT, cv))
-	}
-	// Readout.
-	logits := p.logits
-	for v := 0; v < p.Vocab; v++ {
-		logits[v] = int32(p.OutB[v])
-	}
-	for k := 0; k < p.Hidden; k++ {
-		w := h[k]
-		row := p.OutW[k*p.Vocab : (k+1)*p.Vocab]
-		for v, o := range row {
-			logits[v] += gpu.MulQ(int32(o), w)
-		}
-	}
-	return MarginOfQ(logits, int(in[p.Window-1]))
 }
 
 // MarginOfQ reduces logits to the margin score: max logit minus the target

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -52,6 +53,32 @@ type LSTM struct {
 	Threshold float64
 
 	posW []float64 // cached PosWeights(Window)
+}
+
+func (c LSTMConfig) check() error {
+	if c.Window < 2 || c.Vocab < 2 || c.Embed < 1 || c.Hidden < 1 {
+		return fmt.Errorf("ml: bad LSTM config %+v", c)
+	}
+	return nil
+}
+
+// Validate checks every parameter against the shape m.Cfg declares, so a
+// decoded model is rejected before any kernel indexes past a short slice.
+func (m *LSTM) Validate() error {
+	c := m.Cfg
+	if err := c.check(); err != nil {
+		return err
+	}
+	errs := []error{checkMat("LSTM Emb", m.Emb, c.Vocab, c.Embed)}
+	for g := range m.Wg {
+		errs = append(errs,
+			checkMat(fmt.Sprintf("LSTM Wg[%d]", g), m.Wg[g], c.Hidden, c.Embed+c.Hidden),
+			checkVec(fmt.Sprintf("LSTM Bg[%d]", g), m.Bg[g], c.Hidden))
+	}
+	errs = append(errs,
+		checkMat("LSTM OutW", m.OutW, c.Vocab, c.Hidden),
+		checkVec("LSTM OutB", m.OutB, c.Vocab))
+	return errors.Join(errs...)
 }
 
 // State is the recurrent state carried between inference steps; the RTAD
@@ -167,8 +194,8 @@ func (m *LSTM) Score(st *State, w []int32) (float64, error) {
 // and Adagrad. vectors[t] is the IGM window at step t; the model learns to
 // predict each window's target class from the recurrent context.
 func TrainLSTM(cfg LSTMConfig, vectors [][]int32) (*LSTM, error) {
-	if cfg.Window < 2 || cfg.Vocab < 2 || cfg.Embed < 1 || cfg.Hidden < 1 {
-		return nil, fmt.Errorf("ml: bad LSTM config %+v", cfg)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	if len(vectors) < cfg.Truncate*2 {
 		return nil, fmt.Errorf("ml: %d vectors is too little training data", len(vectors))

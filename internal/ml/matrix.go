@@ -26,6 +26,25 @@ func NewMat(r, c int) *Mat {
 	return &Mat{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
+// checkMat reports an error unless m is a well-formed rows×cols matrix.
+func checkMat(name string, m *Mat, rows, cols int) error {
+	if m == nil {
+		return fmt.Errorf("ml: %s missing", name)
+	}
+	if m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols {
+		return fmt.Errorf("ml: %s is %dx%d with %d values, want %dx%d", name, m.Rows, m.Cols, len(m.Data), rows, cols)
+	}
+	return nil
+}
+
+// checkVec reports an error unless v has n values.
+func checkVec(name string, v []float64, n int) error {
+	if len(v) != n {
+		return fmt.Errorf("ml: %s has %d values, want %d", name, len(v), n)
+	}
+	return nil
+}
+
 // At returns m[i,j].
 func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

@@ -402,7 +402,8 @@ func (s *Server) handle(conn net.Conn) {
 	admitted := false
 	defer func() {
 		if !admitted {
-			s.endSession(id, ver, shadowVer)
+			s.freeSlot(id, ver, shadowVer)
+			s.endSession(id)
 		}
 	}()
 
@@ -516,13 +517,15 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// endSession decrements the live count (and its gauge), retires the
-// introspection row, releases the session's registry holds (the admitted
-// version plus any canary shadow), and marks the flight-recorder ring
-// evictable — exactly once per admitted-or-aborted session. Releasing the
-// holds is what lets a retired version finally leave the registry once its
-// last in-flight session finishes.
-func (s *Server) endSession(id string, held ...*registry.Version) {
+// freeSlot decrements the live count (and its gauge), retires the
+// introspection row and releases the session's registry holds (the
+// admitted version plus any canary shadow) — exactly once per
+// admitted-or-aborted session. Releasing the holds is what lets a retired
+// version finally leave the registry once its last in-flight session
+// finishes. A session that completes frees its slot before writing its
+// summary, so a client holding the summary sees the session gone from
+// every count.
+func (s *Server) freeSlot(id string, held ...*registry.Version) {
 	s.mu.Lock()
 	s.live--
 	live := s.live
@@ -532,6 +535,11 @@ func (s *Server) endSession(id string, held ...*registry.Version) {
 		s.reg.Release(v) // nil-safe
 	}
 	s.mLive.Set(int64(live))
+}
+
+// endSession marks the session's flight-recorder ring evictable and the
+// session done for Shutdown's drain, after its slot is freed.
+func (s *Server) endSession(id string) {
 	s.cfg.Flight.End(id)
 	s.sessions.Done()
 }
@@ -687,9 +695,10 @@ type runner struct {
 	// Registry holds: ver is the version the session was admitted on (its
 	// judgments and anomaly counts tally against it); shadowVer is the
 	// canary candidate when this admission fell in the canary slice. Both
-	// are released by endSession.
+	// are released by freeSlot; freed records that it ran.
 	ver       *registry.Version
 	shadowVer *registry.Version
+	freed     bool
 	// shadow is the candidate's invisible session over the same trace
 	// bytes. Its judgments feed the registry's per-version delta — never
 	// the socket — and a shadow failure nils it without touching the
@@ -703,7 +712,12 @@ type runner struct {
 // error, and the server keeps serving.
 func (r *runner) run() error {
 	s := r.srv
-	defer s.endSession(r.id, r.ver, r.shadowVer)
+	defer func() {
+		if !r.freed {
+			s.freeSlot(r.id, r.ver, r.shadowVer)
+		}
+		s.endSession(r.id)
+	}()
 	defer r.conn.Close()
 	// The reader blocks sending into q when the queue policy is block; keep
 	// draining after exit so it can always make progress to its own close.
@@ -796,6 +810,8 @@ func (r *runner) run() error {
 	}
 	r.collectShadow(int64(wrote), anoms)
 	sum := r.summary()
+	s.freeSlot(r.id, r.ver, r.shadowVer)
+	r.freed = true
 	if err := s.writeFrame(r.conn, FrameSummary, sum); err != nil {
 		return nil
 	}
